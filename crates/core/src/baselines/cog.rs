@@ -20,7 +20,7 @@ use std::time::Instant;
 
 use complx_legalize::{DetailedPlacer, Legalizer};
 use complx_netlist::{hpwl, CellId, CellKind, Design, Placement, Point};
-use complx_sparse::{CgSolver, CsrMatrix, TripletMatrix};
+use complx_sparse::{CgSolver, CsrAssembler, TripletMatrix};
 use complx_wirelength::{decompose_net, Edge, NetModel, VarIndex};
 
 use complx_obs as obs;
@@ -314,6 +314,7 @@ fn solve_axis_pair(
     rho: f64,
 ) -> SolveRecord {
     let mut axis_stats = Vec::with_capacity(2);
+    let mut assembler = CsrAssembler::new();
     let has_cog = !centers.is_empty() && rho > 0.0;
     let (res_x, res_y) = if has_cog {
         cog_residuals(design, placement, regions, centers)
@@ -400,18 +401,12 @@ fn solve_axis_pair(
         }
 
         // Regularize any disconnected variable.
-        let probe: CsrMatrix = q.to_csr();
-        for (v, &d) in probe.diagonal().iter().enumerate() {
-            if d <= 0.0 {
-                q.add_diagonal(v, 1e-8);
-                f[v] -= 1e-8 * coord(index.cell(v));
-            }
-        }
-
-        let a = q.to_csr();
+        let a = assembler.assemble_regularized(n, [&q], 1e-8, |v| {
+            f[v] -= 1e-8 * coord(index.cell(v));
+        });
         let rhs: Vec<f64> = f.iter().map(|v| -v).collect();
         let mut x: Vec<f64> = (0..n).map(|v| coord(index.cell(v))).collect();
-        axis_stats.push(CgSolver::new().with_tolerance(1e-5).solve(&a, &rhs, &mut x));
+        axis_stats.push(CgSolver::new().with_tolerance(1e-5).solve(a, &rhs, &mut x));
 
         let core = design.core();
         for (v, &xi) in x.iter().enumerate() {
@@ -452,6 +447,7 @@ mod tests {
     use super::*;
     use complx_legalize::is_legal;
     use complx_netlist::generator::GeneratorConfig;
+    use complx_netlist::{DesignBuilder, Rect};
 
     #[test]
     fn cog_constraints_are_approached() {
@@ -497,6 +493,79 @@ mod tests {
         assert!(
             mean_dist > 0.2 * (d.core().width() + d.core().height()) / 4.0,
             "cells still clumped: mean distance {mean_dist}"
+        );
+    }
+
+    /// FNV-1a over the bits of every coordinate.
+    fn placement_hash(p: &Placement) -> u64 {
+        p.xs()
+            .iter()
+            .chain(p.ys())
+            .fold(0xcbf2_9ce4_8422_2325, |h, v| {
+                (h ^ v.to_bits()).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    /// The primal solves' placement bits, pinned: assembly changes must
+    /// reproduce them exactly.
+    #[test]
+    fn primal_solve_bits_are_pinned() {
+        // A generated design through the bootstrap and two CoG-pulled solves.
+        let d = GeneratorConfig::small("cogpin", 95).generate();
+        let index = VarIndex::new(&d);
+        let mut pl = d.initial_placement();
+        for _ in 0..3 {
+            solve_axis_pair(&d, &index, &mut pl, &[], &[], 0.0);
+        }
+        let regions = assign_regions(&d, &pl, 2);
+        let core = d.core();
+        let centers: Vec<Point> = (0..16)
+            .map(|r| {
+                Point::new(
+                    core.lx + ((r % 4) as f64 + 0.5) / 4.0 * core.width(),
+                    core.ly + ((r / 4) as f64 + 0.5) / 4.0 * core.height(),
+                )
+            })
+            .collect();
+        for _ in 0..2 {
+            solve_axis_pair(&d, &index, &mut pl, &regions, &centers, 4.0);
+        }
+        assert_eq!(
+            placement_hash(&pl),
+            1_993_732_343_748_793_862,
+            "generated design"
+        );
+
+        // An isolated movable cell takes the regularization path.
+        let mut b = DesignBuilder::new("iso", Rect::new(0.0, 0.0, 30.0, 30.0), 1.0);
+        let a = b.add_cell("a", 1.0, 1.0, CellKind::Movable).expect("cell");
+        let c = b.add_cell("b", 1.0, 1.0, CellKind::Movable).expect("cell");
+        b.add_cell("lonely", 1.0, 1.0, CellKind::Movable)
+            .expect("cell");
+        let p0 = b
+            .add_fixed_cell("p0", 1.0, 1.0, CellKind::Terminal, Point::new(0.0, 7.0))
+            .expect("pad");
+        let p1 = b
+            .add_fixed_cell("p1", 1.0, 1.0, CellKind::Terminal, Point::new(30.0, 21.0))
+            .expect("pad");
+        b.add_net("n0", 1.0, vec![(p0, 0.0, 0.0), (a, 0.5, 0.0)])
+            .expect("net");
+        b.add_net(
+            "n1",
+            2.0,
+            vec![(a, 0.0, 0.0), (c, 0.0, 0.25), (p1, 0.0, 0.0)],
+        )
+        .expect("net");
+        let d = b.build().expect("design");
+        let index = VarIndex::new(&d);
+        let mut pl = d.initial_placement();
+        for _ in 0..2 {
+            solve_axis_pair(&d, &index, &mut pl, &[], &[], 0.0);
+        }
+        assert_eq!(
+            placement_hash(&pl),
+            15_300_026_408_666_604_476,
+            "isolated cell"
         );
     }
 

@@ -718,6 +718,9 @@ impl ComplxPlacer {
         if recoveries > 0 {
             stop_reason = StopReason::Recovered;
         }
+        // The λ loop is over: free the model's assembly buffers before
+        // legalization allocates its own.
+        drop(model);
 
         // Final legalization + detailed placement on the best feasible
         // iterate (Section 4). Legalization always runs — the contract is a

@@ -38,7 +38,9 @@ use std::time::Duration;
 use complx_netlist::bookshelf;
 use complx_obs::{JsonValue, JsonlSink, Sink};
 use complx_par::CancelToken;
-use complx_place::{config_hash, design_hash, solve, PlaceError, PlacerConfig, SolveRequest};
+use complx_place::{
+    config_hash, design_hash, solve, PlaceError, PlacerConfig, SolveRequest, StopReason,
+};
 
 use crate::cache::{self, ResultCache};
 use crate::events::{EventBuf, EventBufWriter};
@@ -727,7 +729,15 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
         cancel: Some(cancel),
         sinks: vec![sink],
     };
-    let solved = solve(&design, request);
+    // A cancel that trips once a feasible iterate exists still returns a
+    // placement (stop reason `Cancelled`); the job was cancelled all the same.
+    let solved = solve(&design, request).and_then(|arts| {
+        if matches!(arts.outcome.stop_reason, StopReason::Cancelled) {
+            Err(PlaceError::Cancelled)
+        } else {
+            Ok(arts)
+        }
+    });
     events.close();
 
     match solved {

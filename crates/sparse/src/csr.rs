@@ -21,6 +21,18 @@ pub struct CsrMatrix {
     values: Vec<f64>,
 }
 
+impl Default for CsrMatrix {
+    /// The empty `0`×`0` matrix.
+    fn default() -> Self {
+        Self {
+            n: 0,
+            row_ptr: vec![0],
+            col_idx: Vec::new(),
+            values: Vec::new(),
+        }
+    }
+}
+
 impl CsrMatrix {
     /// Builds a CSR matrix from parallel triplet arrays, summing duplicates.
     ///
@@ -58,9 +70,13 @@ impl CsrMatrix {
 
         // Sort each row by column and merge duplicates.
         let mut row_ptr = Vec::with_capacity(n + 1);
-        let mut col_idx = Vec::with_capacity(rows.len());
-        let mut values = Vec::with_capacity(rows.len());
         row_ptr.push(0);
+        let mut m = Self {
+            n,
+            row_ptr,
+            col_idx: Vec::with_capacity(rows.len()),
+            values: Vec::with_capacity(rows.len()),
+        };
         let mut scratch: Vec<(u32, f64)> = Vec::new();
         for r in 0..n {
             scratch.clear();
@@ -70,32 +86,67 @@ impl CsrMatrix {
                     .copied()
                     .zip(val_raw[row_ptr_raw[r]..row_ptr_raw[r + 1]].iter().copied()),
             );
-            scratch.sort_unstable_by_key(|&(c, _)| c);
-            let mut i = 0;
-            while i < scratch.len() {
-                let c = scratch[i].0;
-                let mut v = scratch[i].1;
-                let mut j = i + 1;
-                while j < scratch.len() && scratch[j].0 == c {
-                    v += scratch[j].1;
-                    j += 1;
-                }
-                // lint:allow(no-float-eq): drops entries that sum to exact
-                // zero (e.g. +a + -a); small values must be kept.
-                if v != 0.0 {
-                    col_idx.push(c);
-                    values.push(v);
-                }
-                i = j;
-            }
-            row_ptr.push(col_idx.len());
+            m.push_row(&mut scratch);
         }
+        m
+    }
 
-        Self {
-            n,
-            row_ptr,
-            col_idx,
-            values,
+    /// Empties the matrix and makes it `n`×`n`, keeping the allocations so
+    /// that [`CsrMatrix::push_row`] can refill it.
+    pub(crate) fn reset(&mut self, n: usize) {
+        self.n = n;
+        self.row_ptr.clear();
+        self.row_ptr.push(0);
+        self.col_idx.clear();
+        self.values.clear();
+    }
+
+    /// Appends the next row from its raw `(col, value)` entries: sorts them
+    /// by column, sums duplicate columns and drops sums of exactly zero.
+    ///
+    /// Every CSR build goes through this one routine, so the order in which
+    /// duplicates are summed is a function of the raw arrival order alone:
+    /// two builders that present a row's entries in the same order produce
+    /// the same bits.
+    pub(crate) fn push_row(&mut self, raw: &mut [(u32, f64)]) {
+        debug_assert!(self.row_ptr.len() <= self.n, "every row already pushed");
+        raw.sort_unstable_by_key(|&(c, _)| c);
+        let mut i = 0;
+        while i < raw.len() {
+            let c = raw[i].0;
+            let mut v = raw[i].1;
+            let mut j = i + 1;
+            while j < raw.len() && raw[j].0 == c {
+                v += raw[j].1;
+                j += 1;
+            }
+            // lint:allow(no-float-eq): drops entries that sum to exact
+            // zero (e.g. +a + -a); small values must be kept.
+            if v != 0.0 {
+                self.col_idx.push(c);
+                self.values.push(v);
+            }
+            i = j;
+        }
+        self.row_ptr.push(self.col_idx.len());
+    }
+
+    /// Drops the last pushed row.
+    pub(crate) fn pop_row(&mut self) {
+        debug_assert!(self.row_ptr.len() > 1, "no row to pop");
+        self.row_ptr.pop();
+        let start = self.row_ptr[self.row_ptr.len() - 1];
+        self.col_idx.truncate(start);
+        self.values.truncate(start);
+    }
+
+    /// The stored diagonal entry of the last pushed row, or `0.0`.
+    pub(crate) fn last_row_diagonal(&self) -> f64 {
+        let r = self.row_ptr.len() - 2;
+        let lo = self.row_ptr[r];
+        match self.col_idx[lo..].binary_search(&(r as u32)) {
+            Ok(k) => self.values[lo + k],
+            Err(_) => 0.0,
         }
     }
 

@@ -10,6 +10,8 @@
 //!   pseudonets are stamped into,
 //! * [`CsrMatrix`] — compressed sparse row storage with fast
 //!   matrix–vector products,
+//! * [`CsrAssembler`] — turns stamped triplet batches into a regularized
+//!   CSR system in buffers reused from one iteration to the next,
 //! * [`CgSolver`] — a Jacobi-preconditioned Conjugate Gradient solver with
 //!   configurable tolerance and iteration limits,
 //! * small dense-vector helpers in [`vector`].
@@ -38,11 +40,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod assemble;
 mod cg;
 mod csr;
 mod triplet;
 pub mod vector;
 
+pub use assemble::CsrAssembler;
 pub use cg::{CgBreakdown, CgSolver, SolveStats};
 pub use csr::CsrMatrix;
 pub use triplet::TripletMatrix;

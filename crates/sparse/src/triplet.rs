@@ -24,10 +24,10 @@ use crate::csr::CsrMatrix;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct TripletMatrix {
-    n: usize,
-    rows: Vec<u32>,
-    cols: Vec<u32>,
-    vals: Vec<f64>,
+    pub(crate) n: usize,
+    pub(crate) rows: Vec<u32>,
+    pub(crate) cols: Vec<u32>,
+    pub(crate) vals: Vec<f64>,
 }
 
 impl TripletMatrix {
@@ -95,25 +95,18 @@ impl TripletMatrix {
         self.add(j, i, -w);
     }
 
-    /// Appends every triplet of `other`, preserving their order. Parallel
-    /// stamping uses this to merge per-chunk buffers back in chunk order,
-    /// which reproduces the exact sequential stamping sequence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dimensions differ.
-    pub fn append(&mut self, other: &TripletMatrix) {
-        assert_eq!(self.n, other.n, "TripletMatrix::append: dimension mismatch");
-        self.rows.extend_from_slice(&other.rows);
-        self.cols.extend_from_slice(&other.cols);
-        self.vals.extend_from_slice(&other.vals);
-    }
-
     /// Removes all triplets, keeping the allocation; dimension is preserved.
     pub fn clear(&mut self) {
         self.rows.clear();
         self.cols.clear();
         self.vals.clear();
+    }
+
+    /// Removes all triplets and makes the matrix `n`×`n`, keeping the
+    /// allocation.
+    pub fn reset(&mut self, n: usize) {
+        self.n = n;
+        self.clear();
     }
 
     /// Converts to CSR, summing duplicate coordinates.
@@ -173,27 +166,6 @@ mod tests {
     fn out_of_bounds_panics() {
         let mut t = TripletMatrix::new(2);
         t.add(2, 0, 1.0);
-    }
-
-    #[test]
-    fn append_preserves_order() {
-        let mut a = TripletMatrix::new(3);
-        a.add(0, 0, 1.0);
-        let mut b = TripletMatrix::new(3);
-        b.add(1, 1, 2.0);
-        b.add(0, 0, 3.0);
-        a.append(&b);
-        assert_eq!(a.nnz(), 3);
-        let csr = a.to_csr();
-        assert_eq!(csr.get(0, 0), 4.0);
-        assert_eq!(csr.get(1, 1), 2.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "dimension mismatch")]
-    fn append_rejects_mismatched_dims() {
-        let mut a = TripletMatrix::new(3);
-        a.append(&TripletMatrix::new(2));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests for the sparse substrate.
 
-use complx_sparse::{vector, CgSolver, CsrMatrix, TripletMatrix};
+use complx_sparse::{vector, CgSolver, CsrAssembler, CsrMatrix, TripletMatrix};
 use proptest::prelude::*;
 
 /// Strategy: a random SPD matrix built as a Laplacian over random edges plus
@@ -22,7 +22,47 @@ fn spd_matrix(n: usize, max_edges: usize) -> impl Strategy<Value = CsrMatrix> {
     })
 }
 
+/// Every stored entry as `(col, value bits)`, row by row.
+fn csr_bits(a: &CsrMatrix) -> Vec<Vec<(usize, u64)>> {
+    (0..a.dim())
+        .map(|r| a.row(r).map(|(c, v)| (c, v.to_bits())).collect())
+        .collect()
+}
+
 proptest! {
+    /// The assembler equals concatenating its batches, converting once to
+    /// read the diagonal, regularizing and converting again — bit for bit,
+    /// with duplicates whose sums depend on their order, entries that
+    /// cancel, and rows with no or a non-positive diagonal.
+    #[test]
+    fn assembler_matches_two_conversion_reference(
+        stamps in proptest::collection::vec((0..3usize, 0..12usize, 0..12usize, -5i32..=5), 0..150),
+    ) {
+        let n = 12;
+        let mut batches = vec![TripletMatrix::new(n); 3];
+        let mut concat = TripletMatrix::new(n);
+        for (b, batch) in batches.iter_mut().enumerate() {
+            for &(k, r, c, v) in &stamps {
+                if k == b {
+                    batch.add(r, c, 0.1 * f64::from(v));
+                    concat.add(r, c, 0.1 * f64::from(v));
+                }
+            }
+        }
+        let mut want_pulled = Vec::new();
+        for (row, &d) in concat.to_csr().diagonal().iter().enumerate() {
+            if d <= 0.0 {
+                concat.add_diagonal(row, 1e-8);
+                want_pulled.push(row);
+            }
+        }
+        let mut pulled = Vec::new();
+        let mut asm = CsrAssembler::new();
+        let got = asm.assemble_regularized(n, &batches, 1e-8, |row| pulled.push(row));
+        prop_assert_eq!(csr_bits(got), csr_bits(&concat.to_csr()));
+        prop_assert_eq!(pulled, want_pulled);
+    }
+
     #[test]
     fn cg_solves_random_spd_systems(
         a in spd_matrix(20, 60),

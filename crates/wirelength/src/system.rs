@@ -1,14 +1,21 @@
 //! Assembly and solution of the quadratic placement systems
 //! `Φ_Q(x) = xᵀQ_x x + 2 f_xᵀ x + const` (paper Formula 2), one per axis.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 use complx_netlist::{CellId, Design, NetId, Placement, Point};
-use complx_sparse::{CgSolver, TripletMatrix};
+use complx_sparse::{CgSolver, CsrAssembler, CsrMatrix, TripletMatrix};
 
 /// Designs with fewer nets than this assemble in a single chunk (no pool
-/// dispatch). The per-net stamping order is preserved by merging per-chunk
-/// buffers in chunk order, so the assembled system is bit-identical for
-/// any chunking — this gate is purely a dispatch-overhead cutoff.
+/// dispatch). The per-net stamping order is preserved by scattering the
+/// per-chunk buffers into rows in chunk order, so the assembled system is
+/// bit-identical for any chunking — this gate is purely a
+/// dispatch-overhead cutoff.
 const PAR_MIN_NETS: usize = 512;
+
+/// Diagonal weight that keeps a variable with no connection of its own
+/// (a cell on no net, say) from making the system singular.
+const REG: f64 = 1e-8;
 
 use crate::anchors::Anchors;
 use crate::b2b::{decompose, Edge, NetModel};
@@ -82,6 +89,72 @@ pub struct QuadraticModel {
     /// Lower bound for linearization denominators (distance units).
     dist_eps: f64,
     solver: CgSolver,
+    /// Assembly buffers reused from one `minimize` call to the next.
+    workspace: WorkspaceCell,
+}
+
+/// The buffers one axis assembly needs. Every call rebuilds their contents
+/// from the design and placement it is given; only the allocations carry
+/// over, so one model may serve any sequence of designs.
+#[derive(Debug, Default)]
+struct Workspace {
+    /// Star variable of each net, if the net model gives it one.
+    star_of_net: Vec<Option<u32>>,
+    /// Running pin count before each net (`num_nets + 1` entries).
+    pin_prefix: Vec<usize>,
+    /// Net range boundaries of the stamping chunks.
+    bounds: Vec<usize>,
+    /// One stamp buffer per chunk.
+    chunks: Vec<ChunkStamps>,
+    /// Anchor pseudonets, stamped after every net.
+    anchor_stamps: TripletMatrix,
+    /// Count, scatter, sort and merge buffers plus the assembled matrix.
+    assembler: CsrAssembler,
+    /// The linear term of `Φ_Q`.
+    f: Vec<f64>,
+    /// The right-hand side `−f`.
+    rhs: Vec<f64>,
+}
+
+/// What one chunk of nets stamps.
+#[derive(Debug, Default)]
+struct ChunkStamps {
+    q: TripletMatrix,
+    /// Updates to `f`, replayed one at a time in chunk order.
+    fu: Vec<(u32, f64)>,
+    /// Pin coordinates of the net being decomposed.
+    coords: Vec<f64>,
+    /// Edges of the net being decomposed.
+    edges: Vec<Edge>,
+}
+
+/// The model's [`Workspace`] behind a lock. It is no part of the model's
+/// value: a clone starts with empty buffers and any two compare equal.
+#[derive(Default)]
+struct WorkspaceCell(Mutex<Workspace>);
+
+impl WorkspaceCell {
+    fn lock(&self) -> MutexGuard<'_, Workspace> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Clone for WorkspaceCell {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl PartialEq for WorkspaceCell {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl std::fmt::Debug for WorkspaceCell {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Workspace { .. }")
+    }
 }
 
 impl Default for QuadraticModel {
@@ -98,6 +171,7 @@ impl QuadraticModel {
             net_model,
             dist_eps: 1.0,
             solver: CgSolver::new(),
+            workspace: WorkspaceCell::default(),
         }
     }
 
@@ -121,22 +195,33 @@ impl QuadraticModel {
         self.net_model
     }
 
-    /// Assembles and solves one axis; returns the solution alongside the
-    /// solver's convergence report.
-    fn solve_axis(
+    /// Builds one axis' system `Q x = −f` in the workspace. Returns the
+    /// matrix, the right-hand side and the warm start (the current
+    /// coordinates; star variables at their net's centroid).
+    fn assemble_axis<'w>(
         &self,
+        ws: &'w mut Workspace,
         design: &Design,
         index: &VarIndex,
         placement: &Placement,
         anchors: Option<&Anchors>,
         axis: Axis,
-        cancel: Option<&complx_par::CancelToken>,
-    ) -> (Vec<f64>, complx_sparse::SolveStats) {
-        let assembly_span = complx_obs::span("b2b_rebuild");
+    ) -> (&'w CsrMatrix, &'w [f64], Vec<f64>) {
+        let Workspace {
+            star_of_net,
+            pin_prefix,
+            bounds,
+            chunks,
+            anchor_stamps,
+            assembler,
+            f,
+            rhs,
+        } = ws;
         let n_cells = index.num_vars();
 
         // Count star variables first so the matrix dimension is known.
-        let mut star_of_net: Vec<Option<u32>> = vec![None; design.num_nets()];
+        star_of_net.clear();
+        star_of_net.resize(design.num_nets(), None);
         let mut n_star = 0usize;
         for nid in design.net_ids() {
             let p = design.net(nid).degree();
@@ -160,36 +245,38 @@ impl QuadraticModel {
             }
         };
 
-        // Stamps nets `lo..hi` into a fresh chunk-local matrix plus a
-        // sparse f-update list. The updates are *not* pre-summed: replaying
-        // them one at a time, chunk by chunk, performs the exact additions
-        // of the plain sequential net loop, so the assembled system is
-        // bit-identical no matter how the nets are chunked.
+        // Stamps nets `lo..hi` into a chunk's matrix plus a sparse f-update
+        // list. The updates are *not* pre-summed: replaying them one at a
+        // time, chunk by chunk, performs the exact additions of the plain
+        // sequential net loop, so the assembled system is bit-identical no
+        // matter how the nets are chunked.
         let num_nets = design.num_nets();
-        let (pin_prefix, total_pins) = {
-            let mut p = Vec::with_capacity(num_nets + 1);
-            let mut total = 0usize;
-            p.push(0usize);
-            for nid in design.net_ids() {
-                total += design.net_pins(nid).len();
-                p.push(total);
-            }
-            (p, total)
-        };
-        let stamp_range = |lo: usize, hi: usize| -> (TripletMatrix, Vec<(u32, f64)>) {
-            let mut cq = TripletMatrix::with_capacity(n, (pin_prefix[hi] - pin_prefix[lo]) * 4);
-            let mut fu: Vec<(u32, f64)> = Vec::new();
-            let mut coords: Vec<f64> = Vec::new();
-            let mut edges: Vec<Edge> = Vec::new();
+        pin_prefix.clear();
+        pin_prefix.push(0usize);
+        let mut total_pins = 0usize;
+        for nid in design.net_ids() {
+            total_pins += design.net_pins(nid).len();
+            pin_prefix.push(total_pins);
+        }
+        let star_of_net = &*star_of_net;
+        let stamp_range = |lo: usize, hi: usize, buf: &mut ChunkStamps| {
+            let ChunkStamps {
+                q,
+                fu,
+                coords,
+                edges,
+            } = buf;
+            q.reset(n);
+            fu.clear();
             for net_idx in lo..hi {
                 let nid = NetId::from_index(net_idx);
                 let pins = design.net_pins(nid);
                 let w = design.net(nid).weight();
                 coords.clear();
                 coords.extend(pins.iter().map(|p| coord(p.cell) + offset(p)));
-                decompose(self.net_model, w, &coords, self.dist_eps, &mut edges);
+                decompose(self.net_model, w, coords, self.dist_eps, edges);
                 let star = star_of_net[nid.index()].map(|v| v as usize);
-                for e in &edges {
+                for e in edges.iter() {
                     // Resolve endpoints: (variable index or fixed coordinate, offset).
                     let resolve = |end: usize| -> (Option<usize>, f64) {
                         if end == Edge::STAR {
@@ -209,24 +296,23 @@ impl QuadraticModel {
                             if i == j {
                                 continue; // both pins on one cell: constant term
                             }
-                            cq.add_connection(i, j, e.weight);
+                            q.add_connection(i, j, e.weight);
                             // (x_i + ca − x_j − cb)² cross terms go to f.
                             fu.push((i as u32, e.weight * (ca - cb)));
                             fu.push((j as u32, e.weight * (cb - ca)));
                         }
                         (Some(i), None) => {
-                            cq.add_diagonal(i, e.weight);
+                            q.add_diagonal(i, e.weight);
                             fu.push((i as u32, e.weight * (ca - cb)));
                         }
                         (None, Some(j)) => {
-                            cq.add_diagonal(j, e.weight);
+                            q.add_diagonal(j, e.weight);
                             fu.push((j as u32, e.weight * (cb - ca)));
                         }
                         (None, None) => {}
                     }
                 }
             }
-            (cq, fu)
         };
 
         // Pin-count-balanced net ranges, one per runner.
@@ -235,7 +321,7 @@ impl QuadraticModel {
         } else {
             complx_par::threads().min(num_nets)
         };
-        let mut bounds = Vec::with_capacity(nparts + 1);
+        bounds.clear();
         bounds.push(0usize);
         let mut prev_bound = 0usize;
         for k in 1..nparts {
@@ -246,24 +332,35 @@ impl QuadraticModel {
         }
         bounds.push(num_nets);
 
+        chunks.resize_with(nparts, ChunkStamps::default);
+        let bounds = &*bounds;
         let car = complx_obs::carrier();
-        let parts = complx_par::par_map(nparts, |k| {
+        let stamp_chunk = |k: usize, buf: &mut ChunkStamps| {
             let _attached = car.attach();
             let _sp = complx_obs::span("chunks");
-            stamp_range(bounds[k], bounds[k + 1])
-        });
+            stamp_range(bounds[k], bounds[k + 1], buf);
+        };
+        if nparts == 1 {
+            stamp_chunk(0, &mut chunks[0]);
+        } else {
+            complx_par::scope(|s| {
+                for (k, buf) in chunks.iter_mut().enumerate() {
+                    let stamp_chunk = &stamp_chunk;
+                    s.spawn(move || stamp_chunk(k, buf));
+                }
+            });
+        }
 
-        let mut q = TripletMatrix::with_capacity(n, design.num_pins() * 4);
-        let mut f = vec![0.0f64; n];
-        for (cq, fu) in &parts {
-            q.append(cq);
-            for &(i, d) in fu {
+        f.clear();
+        f.resize(n, 0.0);
+        for c in chunks.iter() {
+            for &(i, d) in &c.fu {
                 f[i as usize] += d;
             }
         }
-        drop(parts);
 
-        // Anchor pseudonets.
+        // Anchor pseudonets, stamped after every net.
+        anchor_stamps.reset(n);
         if let Some(a) = anchors {
             for v in 0..n_cells {
                 let cell = index.cell(v);
@@ -277,33 +374,27 @@ impl QuadraticModel {
                         Axis::X => a.targets().xs()[cell.index()],
                         Axis::Y => a.targets().ys()[cell.index()],
                     };
-                    q.add_diagonal(v, w);
+                    anchor_stamps.add_diagonal(v, w);
                     f[v] -= w * target;
                 }
             }
         }
 
         // Regularize disconnected variables so the system stays SPD: pull
-        // them gently toward their current location.
-        let csr_probe = q.to_csr();
-        let diag = csr_probe.diagonal();
-        const REG: f64 = 1e-8;
-        for (v, &d) in diag.iter().enumerate() {
-            if d <= 0.0 {
-                let cur = if v < n_cells {
-                    coord(index.cell(v))
-                } else {
-                    // Star variable of a net whose pins are all fixed.
-                    0.0
-                };
-                q.add_diagonal(v, REG);
-                f[v] -= REG * cur;
-            }
-        }
-
-        let a_mat = q.to_csr();
+        // them gently toward their current location (star variables, which
+        // have none, toward 0).
+        let stamps = chunks.iter().map(|c| &c.q).chain([&*anchor_stamps]);
+        let a_mat = assembler.assemble_regularized(n, stamps, REG, |v| {
+            let cur = if v < n_cells {
+                coord(index.cell(v))
+            } else {
+                0.0
+            };
+            f[v] -= REG * cur;
+        });
         debug_assert!(a_mat.is_symmetric(1e-9));
-        let rhs: Vec<f64> = f.iter().map(|v| -v).collect();
+        rhs.clear();
+        rhs.extend(f.iter().map(|v| -v));
 
         // Warm start from the current coordinates (star vars at net centroid).
         let mut x = vec![0.0; n];
@@ -318,15 +409,7 @@ impl QuadraticModel {
                 x[s as usize] = c;
             }
         }
-
-        drop(assembly_span);
-        let _solve_span = complx_obs::span(match axis {
-            Axis::X => "cg_solve_x",
-            Axis::Y => "cg_solve_y",
-        });
-        let stats = self.solver.solve_with_cancel(&a_mat, &rhs, &mut x, cancel);
-        x.truncate(n_cells);
-        (x, stats)
+        (a_mat, rhs, x)
     }
 }
 
@@ -362,9 +445,27 @@ impl InterconnectModel for QuadraticModel {
         anchors: Option<&Anchors>,
         cancel: Option<&complx_par::CancelToken>,
     ) -> MinimizeStats {
+        // The workspace is taken out for the call, so no lock is held while
+        // stamping on the pool or solving. A concurrent call on the same
+        // model finds it empty and allocates a fresh one.
+        let mut ws = std::mem::take(&mut *self.workspace.lock());
         let index = VarIndex::new(design);
-        let (xs, sx) = self.solve_axis(design, &index, placement, anchors, Axis::X, cancel);
-        let (ys, sy) = self.solve_axis(design, &index, placement, anchors, Axis::Y, cancel);
+        let mut solve_axis = |axis: Axis| {
+            let assembly_span = complx_obs::span("b2b_rebuild");
+            let (a, rhs, mut x) =
+                self.assemble_axis(&mut ws, design, &index, placement, anchors, axis);
+            drop(assembly_span);
+            let _solve_span = complx_obs::span(match axis {
+                Axis::X => "cg_solve_x",
+                Axis::Y => "cg_solve_y",
+            });
+            let stats = self.solver.solve_with_cancel(a, rhs, &mut x, cancel);
+            x.truncate(index.num_vars());
+            (x, stats)
+        };
+        let (xs, sx) = solve_axis(Axis::X);
+        let (ys, sy) = solve_axis(Axis::Y);
+        *self.workspace.lock() = ws;
         let core = design.core();
         for v in 0..index.num_vars() {
             let cell = index.cell(v);
@@ -561,6 +662,251 @@ mod tests {
             for (a, b) in pl.ys().iter().zip(reference.ys()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "y drifted at {t} threads");
             }
+        }
+    }
+
+    /// Today's assembly, kept as the oracle: one sequential stamping loop
+    /// (which chunked stamping reproduces exactly) into a single triplet
+    /// matrix, a probe conversion to read the diagonal, regularization,
+    /// and a second conversion.
+    #[allow(clippy::needless_range_loop)]
+    fn reference_system(
+        model: &QuadraticModel,
+        design: &Design,
+        placement: &Placement,
+        anchors: Option<&Anchors>,
+        axis: Axis,
+    ) -> (CsrMatrix, Vec<f64>) {
+        let index = VarIndex::new(design);
+        let n_cells = index.num_vars();
+        let mut star_of_net: Vec<Option<u32>> = vec![None; design.num_nets()];
+        let mut n_star = 0usize;
+        for nid in design.net_ids() {
+            if model.net_model.uses_star_var(design.net(nid).degree()) {
+                star_of_net[nid.index()] = Some((n_cells + n_star) as u32);
+                n_star += 1;
+            }
+        }
+        let n = n_cells + n_star;
+        let coord = |cell: CellId| match axis {
+            Axis::X => placement.xs()[cell.index()],
+            Axis::Y => placement.ys()[cell.index()],
+        };
+        let offset = |pin: &complx_netlist::Pin| match axis {
+            Axis::X => pin.dx,
+            Axis::Y => pin.dy,
+        };
+        let mut q = TripletMatrix::new(n);
+        let mut f = vec![0.0f64; n];
+        let mut edges: Vec<Edge> = Vec::new();
+        for nid in design.net_ids() {
+            let pins = design.net_pins(nid);
+            let coords: Vec<f64> = pins.iter().map(|p| coord(p.cell) + offset(p)).collect();
+            let w = design.net(nid).weight();
+            decompose(model.net_model, w, &coords, model.dist_eps, &mut edges);
+            let star = star_of_net[nid.index()].map(|v| v as usize);
+            for e in &edges {
+                let resolve = |end: usize| -> (Option<usize>, f64) {
+                    if end == Edge::STAR {
+                        return (star, 0.0);
+                    }
+                    let pin = &pins[end];
+                    match index.var(pin.cell) {
+                        Some(v) => (Some(v), offset(pin)),
+                        None => (None, coord(pin.cell) + offset(pin)),
+                    }
+                };
+                let (va, ca) = resolve(e.a);
+                let (vb, cb) = resolve(e.b);
+                match (va, vb) {
+                    (Some(i), Some(j)) if i != j => {
+                        q.add_connection(i, j, e.weight);
+                        f[i] += e.weight * (ca - cb);
+                        f[j] += e.weight * (cb - ca);
+                    }
+                    (Some(i), None) => {
+                        q.add_diagonal(i, e.weight);
+                        f[i] += e.weight * (ca - cb);
+                    }
+                    (None, Some(j)) => {
+                        q.add_diagonal(j, e.weight);
+                        f[j] += e.weight * (cb - ca);
+                    }
+                    _ => {}
+                }
+            }
+        }
+        if let Some(a) = anchors {
+            for v in 0..n_cells {
+                let cell = index.cell(v);
+                let (w, target) = match axis {
+                    Axis::X => (
+                        a.weight_x(cell, coord(cell)),
+                        a.targets().xs()[cell.index()],
+                    ),
+                    Axis::Y => (
+                        a.weight_y(cell, coord(cell)),
+                        a.targets().ys()[cell.index()],
+                    ),
+                };
+                if w > 0.0 {
+                    q.add_diagonal(v, w);
+                    f[v] -= w * target;
+                }
+            }
+        }
+        let probe = q.to_csr();
+        for (v, &d) in probe.diagonal().iter().enumerate() {
+            if d <= 0.0 {
+                let cur = if v < n_cells {
+                    coord(index.cell(v))
+                } else {
+                    0.0
+                };
+                q.add_diagonal(v, REG);
+                f[v] -= REG * cur;
+            }
+        }
+        (q.to_csr(), f.iter().map(|v| -v).collect())
+    }
+
+    /// Every stored entry of `a` as `(col, value bits)`, row by row: equal
+    /// exactly when row pointers, columns and value bits all agree.
+    fn csr_bits(a: &CsrMatrix) -> Vec<Vec<(usize, u64)>> {
+        (0..a.dim())
+            .map(|r| a.row(r).map(|(c, v)| (c, v.to_bits())).collect())
+            .collect()
+    }
+
+    fn vec_bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A placement pushed off the generator's start so that B2B picks
+    /// distinct boundary pins and weights.
+    fn perturbed(d: &Design) -> Placement {
+        let mut pl = d.initial_placement();
+        for &id in d.movable_cells() {
+            let i = id.index();
+            let p = pl.position(id);
+            let p = Point::new(
+                p.x + ((i * 37) % 101) as f64 * 0.3 - 15.0,
+                p.y + ((i * 61) % 89) as f64 * 0.3 - 13.0,
+            );
+            pl.set_position(id, p);
+        }
+        pl
+    }
+
+    /// A design that needs regularization: an isolated movable cell, plus a
+    /// four-pin net whose pins are all fixed (under the star and hybrid
+    /// models, a star variable tied to fixed pins only), among enough nets
+    /// to be stamped in several chunks.
+    fn regularized_design() -> (Design, CellId) {
+        let mut b = DesignBuilder::new("reg", Rect::new(0.0, 0.0, 200.0, 200.0), 1.0);
+        let cells: Vec<CellId> = (0..300)
+            .map(|i| {
+                b.add_cell(format!("c{i}"), 1.0, 1.0, CellKind::Movable)
+                    .unwrap()
+            })
+            .collect();
+        let lonely = b.add_cell("lonely", 1.0, 1.0, CellKind::Movable).unwrap();
+        let pads: Vec<CellId> = (0..8)
+            .map(|i| {
+                let at = Point::new(25.0 * i as f64, if i % 2 == 0 { 0.0 } else { 200.0 });
+                b.add_fixed_cell(format!("p{i}"), 1.0, 1.0, CellKind::Terminal, at)
+                    .unwrap()
+            })
+            .collect();
+        for k in 0..600 {
+            let degree = 2 + k % 5;
+            let mut pins: Vec<(CellId, f64, f64)> = (0..degree)
+                .map(|j| (cells[(k * 7 + j * 13) % 300], 0.1 * j as f64, -0.2))
+                .collect();
+            if k % 10 == 0 {
+                pins.push((pads[k % 8], 0.0, 0.0));
+            }
+            pins.dedup_by_key(|p| p.0);
+            b.add_net(format!("n{k}"), 1.0 + (k % 3) as f64, pins)
+                .unwrap();
+        }
+        let fixed_star = (0..4).map(|i| (pads[i], 0.0, 0.5)).collect();
+        b.add_net("fixed_star", 1.0, fixed_star).unwrap();
+        (b.build().unwrap(), lonely)
+    }
+
+    #[test]
+    fn workspace_assembly_matches_reference_bit_for_bit() {
+        let (reg_design, lonely) = regularized_design();
+        let generated = GeneratorConfig::small("oracle", 12).generate();
+        for d in [&generated, &reg_design] {
+            assert!(d.num_nets() >= PAR_MIN_NETS);
+            let index = VarIndex::new(d);
+            let pl = perturbed(d);
+            let mut targets = d.initial_placement();
+            for &id in d.movable_cells() {
+                let p = targets.position(id);
+                targets.set_position(id, Point::new(p.x + 3.0, p.y - 2.0));
+            }
+            // Some cells unanchored (λ = 0), the isolated one among them.
+            let lambda: Vec<f64> = (0..d.num_cells())
+                .map(|i| if i % 3 == 0 { 0.0 } else { 0.5 * i as f64 })
+                .collect();
+            let anchors = Anchors::per_cell(d, targets, lambda, 1.5);
+            for net_model in [
+                NetModel::Bound2Bound,
+                NetModel::Clique,
+                NetModel::Star,
+                NetModel::HybridCliqueStar,
+            ] {
+                let model = QuadraticModel::new(net_model);
+                // One workspace serves every case, so reuse is covered too.
+                let mut ws = Workspace::default();
+                for anc in [None, Some(&anchors)] {
+                    for axis in [Axis::X, Axis::Y] {
+                        let (want, want_rhs) = reference_system(&model, d, &pl, anc, axis);
+                        if std::ptr::eq(d, &reg_design) && anc.is_none() {
+                            let v = index.var(lonely).unwrap();
+                            assert_eq!(want.get(v, v), REG, "isolated cell regularized");
+                        }
+                        for t in [1, 2, 8] {
+                            let _g = complx_par::with_threads(t);
+                            let (a, rhs, _) =
+                                model.assemble_axis(&mut ws, d, &index, &pl, anc, axis);
+                            let case = format!(
+                                "{} {net_model:?} anchors={} {axis:?} {t} threads",
+                                d.name(),
+                                anc.is_some()
+                            );
+                            assert_eq!(csr_bits(a), csr_bits(&want), "matrix: {case}");
+                            assert_eq!(vec_bits(rhs), vec_bits(&want_rhs), "rhs: {case}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reused_workspace_matches_fresh_models() {
+        let a = GeneratorConfig::small("reuse", 13).generate();
+        let (b, _) = regularized_design();
+        assert_ne!(a.num_cells(), b.num_cells());
+        let run = |model: &QuadraticModel, d: &Design| {
+            let mut pl = perturbed(d);
+            let anchors = Anchors::uniform(d, d.initial_placement(), 0.7);
+            model.minimize(d, &mut pl, Some(&anchors));
+            model.minimize(d, &mut pl, None);
+            (vec_bits(pl.xs()), vec_bits(pl.ys()))
+        };
+        let model = QuadraticModel::default();
+        for (step, d) in [&a, &b, &a].into_iter().enumerate() {
+            let got = run(&model, d);
+            let fresh = run(&QuadraticModel::default(), d);
+            assert!(got == fresh, "step {step}: reused workspace drifted");
+            let clone = model.clone();
+            assert_eq!(clone, model);
+            assert!(run(&clone, d) == fresh, "step {step}: clone drifted");
         }
     }
 
